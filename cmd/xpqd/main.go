@@ -6,7 +6,7 @@
 //	     [-cache-bytes-total N] [-workers N] [-stream-chunk 512] [-allow-file-loads]
 //	     [-log-level info] [-slow-query-ms N] [-flight-records 256] [-pprof]
 //	     [-cursor-ttl 60s] [-resident-budget N] [-verify-resident]
-//	     [-load id=file.xml ...] [-load-bin id=file.xqo ...]
+//	     [-load id=file.xml ...] [-load-bin id=file.xqo2 ...]
 //	     [-mmap id=file.xqo2 | -mmap corpusdir ...] [-xmark id=scale[:seed] ...]
 //
 // The document corpus is partitioned over -shards goroutine-affine
@@ -29,7 +29,7 @@
 //	POST   /batch      {"requests":[{...},{...}]}
 //	GET    /docs       list resident documents with stats
 //	POST   /docs       {"id":"xm","xmark_scale":0.1} | {"id":"d","xml":"<r/>"} |
-//	                   {"id":"d","file":"doc.xml"} | {"id":"d","binary_file":"doc.xqo"}
+//	                   {"id":"d","file":"doc.xml"} | {"id":"d","binary_file":"doc.xqo2"}
 //	                   (the file-path forms require -allow-file-loads)
 //	PATCH  /docs/{id}  {"op":"insert|delete|replace","node":N,"before":M,
 //	                   "xml":"<frag/>","base_gen":G} — mutate a subtree,
@@ -123,7 +123,7 @@ func main() {
 		xmarks      multiFlag
 	)
 	flag.Var(&loads, "load", "preload an XML document, id=path (repeatable)")
-	flag.Var(&loadBins, "load-bin", "preload a binary-serialized document, id=path (repeatable)")
+	flag.Var(&loadBins, "load-bin", "preload an XQO2 document into the heap, structurally verified, id=path (repeatable)")
 	flag.Var(&mmaps, "mmap", "open an XQO2 resident file zero-copy, id=path, or a directory of .xqo2 files (repeatable)")
 	flag.Var(&xmarks, "xmark", "pregenerate an XMark document, id=scale[:seed] (repeatable)")
 	flag.Parse()

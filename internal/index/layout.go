@@ -87,7 +87,7 @@ func FromLayout(l *tree.Layout, d *tree.Document) (*Index, error) {
 			return nil, fmt.Errorf("index: xqo2: label %d occ range [%d,%d) invalid", lab, lo, hi)
 		}
 		if hi > lo {
-			if u := occAll[lo]; int(u) < n && d.Label(u) != tree.LabelID(lab) {
+			if u := occAll[lo]; u >= 0 && int(u) < n && d.Label(u) != tree.LabelID(lab) {
 				return nil, fmt.Errorf("index: xqo2: label %d occurrence list starts at node %d carrying label %d", lab, u, d.Label(u))
 			}
 		}
@@ -97,79 +97,33 @@ func FromLayout(l *tree.Layout, d *tree.Document) (*Index, error) {
 }
 
 // VerifyStructure runs the element-wise validation the zero-copy open
-// skips by default: binEnd forming valid [v, n) intervals and every
-// occurrence list strictly increasing within [0, n). See
-// tree.Document.VerifyStructure for the trust model — this is the
-// defense for files from outside this process, where a crafted value
-// that passes the checksums would otherwise panic a later query.
+// skips by default: it accepts exactly the index New would build for the
+// document — binEnd[v] is the end of v's binary subtree, and each
+// occurrence list holds, strictly increasing, the nodes carrying its
+// label (with FromLayout's total count of n, the lists then partition
+// the nodes). The document must have passed tree.Document.VerifyStructure
+// first. See there for the trust model: this is the defense for files
+// from outside this process, where a crafted value that passes the
+// checksums would otherwise panic a later query or skew its answer.
 func (ix *Index) VerifyStructure() error {
-	n := ix.doc.NumNodes()
-	binEnd := ix.binEnd
-	// binEnd[v] must lie in [v, n): branchless OR/AND folds (sign of
-	// binEnd[v]-v, sign of the raw value, AND of binEnd[v]-n), unrolled
-	// four ways with independent accumulators so the 1-cycle fold chains
-	// don't cap the scan; re-scan for the offending node on failure.
-	var u0, u1, u2, u3 uint32
-	a0, a1, a2, a3 := ^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0)
-	v := 0
-	for ; v+4 <= len(binEnd); v += 4 {
-		e0, e1, e2, e3 := binEnd[v], binEnd[v+1], binEnd[v+2], binEnd[v+3]
-		u0 |= uint32(int32(e0)-int32(v)) | uint32(e0)
-		a0 &= uint32(e0) - uint32(n)
-		u1 |= uint32(int32(e1)-int32(v)-1) | uint32(e1)
-		a1 &= uint32(e1) - uint32(n)
-		u2 |= uint32(int32(e2)-int32(v)-2) | uint32(e2)
-		a2 &= uint32(e2) - uint32(n)
-		u3 |= uint32(int32(e3)-int32(v)-3) | uint32(e3)
-		a3 &= uint32(e3) - uint32(n)
-	}
-	for ; v < len(binEnd); v++ {
-		u0 |= uint32(int32(binEnd[v])-int32(v)) | uint32(binEnd[v])
-		a0 &= uint32(binEnd[v]) - uint32(n)
-	}
-	if (u0|u1|u2|u3)>>31 != 0 || (len(binEnd) > 0 && (a0&a1&a2&a3)>>31 == 0) {
-		for v, e := range binEnd {
-			if int(e) < v || int(e) >= n {
-				return fmt.Errorf("index: xqo2: node %d binEnd %d out of range", v, e)
-			}
+	d := ix.doc
+	n := d.NumNodes()
+	for v, e := range ix.binEnd {
+		want := tree.NodeID(n - 1)
+		if p := d.Parent(tree.NodeID(v)); p != tree.Nil {
+			want = d.LastDesc(p)
+		}
+		if e != want {
+			return fmt.Errorf("index: xqo2: node %d binEnd %d, want %d", v, e, want)
 		}
 	}
 	for lab, occ := range ix.occ {
-		// Strictly increasing within [0, n): OR-fold the sign of each
-		// step u[i]-u[i-1]-1 (catches non-increase; the first element
-		// folds its own sign bit to catch negatives) and AND-fold u-n
-		// (clear top bit means some u >= n). Each step only depends on
-		// two loads, so the four lanes run independently; re-scan with
-		// branches only on failure.
-		var b0, b1, b2, b3 uint32
-		c0, c1, c2, c3 := ^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0)
-		if len(occ) > 0 {
-			b0 |= uint32(occ[0])
-			c0 &= uint32(occ[0]) - uint32(n)
-			i := 1
-			for ; i+4 <= len(occ); i += 4 {
-				b0 |= uint32(int32(occ[i]) - int32(occ[i-1]) - 1)
-				c0 &= uint32(occ[i]) - uint32(n)
-				b1 |= uint32(int32(occ[i+1]) - int32(occ[i]) - 1)
-				c1 &= uint32(occ[i+1]) - uint32(n)
-				b2 |= uint32(int32(occ[i+2]) - int32(occ[i+1]) - 1)
-				c2 &= uint32(occ[i+2]) - uint32(n)
-				b3 |= uint32(int32(occ[i+3]) - int32(occ[i+2]) - 1)
-				c3 &= uint32(occ[i+3]) - uint32(n)
+		prev := -1
+		for _, u := range occ {
+			if int(u) <= prev || int(u) >= n || d.Label(u) != tree.LabelID(lab) {
+				return fmt.Errorf("index: xqo2: label %d occurrence %d invalid", lab, u)
 			}
-			for ; i < len(occ); i++ {
-				b0 |= uint32(int32(occ[i]) - int32(occ[i-1]) - 1)
-				c0 &= uint32(occ[i]) - uint32(n)
-			}
-		}
-		if (b0|b1|b2|b3)>>31 != 0 || (len(occ) > 0 && (c0&c1&c2&c3)>>31 == 0) {
-			p := -1
-			for _, u := range occ {
-				if int(u) >= n || int(u) <= p {
-					return fmt.Errorf("index: xqo2: label %d occurrence %d invalid", lab, u)
-				}
-				p = int(u)
-			}
+			prev = int(u)
 		}
 	}
 	return nil

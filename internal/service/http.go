@@ -55,7 +55,8 @@ type LoadRequest struct {
 	XML string `json:"xml,omitempty"`
 	// File is a server-side XML file path.
 	File string `json:"file,omitempty"`
-	// BinaryFile is a server-side file in the tree.WriteTo format.
+	// BinaryFile is a server-side XQO2 file, read into the heap and
+	// structurally verified.
 	BinaryFile string `json:"binary_file,omitempty"`
 	// XMarkScale generates a document instead of loading one.
 	XMarkScale float64 `json:"xmark_scale,omitempty"`

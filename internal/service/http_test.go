@@ -203,12 +203,12 @@ func writeSmallBinary(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "doc.xqo")
+	path := filepath.Join(t.TempDir(), "doc.xqo2")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Doc.WriteTo(f); err != nil {
+	if _, err := store.WriteXQO2(f, h.Doc); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -410,10 +410,13 @@ type evalState struct {
 	sh   *svcShard
 	cur  *core.Cursor
 	eng  *core.Engine
-	gen  store.Gen
+	// h is the generation read, with a store read reference held until
+	// the request ends, so a patch cannot retire it before a successor
+	// cursor's lease is in place.
+	h *store.Handle
 	// fromCursor marks a resumed request: on successful consumption the
-	// incoming token's lease on gen is redeemed (after any new token's
-	// lease is issued).
+	// incoming token's lease on h's generation is redeemed (after any
+	// new token's lease is issued).
 	fromCursor bool
 	timer      timer
 	// tr is non-nil for explained requests; root is its open
@@ -428,7 +431,8 @@ type evalState struct {
 // handle lookup, engine lookup, evaluation, and seeking to the resume
 // position. On failure the returned state's resp.Err is set (and
 // metrics recorded on the owning shard); on success resp carries
-// Gen/Strategy/Count/Visited.
+// Gen/Strategy/Count/Visited, and st.h holds a store read reference the
+// caller must Release.
 func (s *Service) prepare(req Request) evalState {
 	st := evalState{resp: Response{Doc: req.Doc, Query: req.Query}, timer: startTimer()}
 	if req.Explain {
@@ -486,40 +490,19 @@ func (s *Service) prepare(req Request) evalState {
 		st.tr.End(sp)
 	}
 	sp = st.tr.Begin(obsv.SpanEngine)
-	var h *store.Handle
-	if tgen == 0 {
-		var ok bool
-		if h, ok = sh.part.Get(req.Doc); !ok {
-			st.tr.End(sp)
-			st.resp.Err = fmt.Sprintf("service: %v: %q", ErrNoDocument, req.Doc)
-			st.resp.notFound = true
-			sh.metrics.recordError()
-			return st
-		}
-	} else {
-		var err error
-		if h, err = sh.part.GetAsOf(req.Doc, tgen); err != nil {
-			st.tr.End(sp)
-			switch {
-			case errors.Is(err, store.ErrNotFound):
-				st.resp.Err = fmt.Sprintf("service: %v: %q", ErrNoDocument, req.Doc)
-				st.resp.notFound = true
-			case st.fromCursor:
-				st.resp.Err = fmt.Sprintf("stale cursor: generation %d of document %q is gone (patched away, evicted, or the cursor lease expired)", tgen, req.Doc)
-				st.resp.staleCursor = true
-			default:
-				st.resp.Err = fmt.Sprintf("generation %d of document %q is gone (no live cursor or lease kept it)", tgen, req.Doc)
-				st.resp.staleCursor = true
-			}
-			sh.metrics.recordError()
-			return st
-		}
+	h, err := sh.part.Acquire(req.Doc, tgen)
+	if err != nil {
+		st.tr.End(sp)
+		genError(&st.resp, err, tgen, st.fromCursor)
+		sh.metrics.recordError()
+		return st
 	}
 	eng := sh.engine(h)
 	st.tr.End(sp)
 	st.resp.Gen = h.Gen
 	cur, err := eng.EvalCursorTrace(req.Query, strat, st.tr)
 	if err != nil {
+		sh.part.Release(h)
 		st.resp.ElapsedUS = st.timer.elapsedMicros()
 		st.resp.Err = err.Error()
 		sh.metrics.recordError()
@@ -533,8 +516,40 @@ func (s *Service) prepare(req Request) evalState {
 	st.resp.Strategy = cur.Strategy().String()
 	st.resp.Count = cur.Count()
 	st.resp.Visited = cur.Visited()
-	st.cur, st.eng, st.gen = cur, eng, h.Gen
+	st.cur, st.eng, st.h = cur, eng, h
 	return st
+}
+
+// genError fills resp with the error for a generation the store could
+// not hand out (Acquire) or keep readable (Lease): a missing document
+// is not-found, a retired generation a stale cursor when a token named
+// it.
+func genError(resp *Response, err error, gen store.Gen, fromCursor bool) {
+	switch {
+	case errors.Is(err, store.ErrNotFound):
+		resp.Err = fmt.Sprintf("service: %v: %q", ErrNoDocument, resp.Doc)
+		resp.notFound = true
+	case fromCursor:
+		resp.Err = fmt.Sprintf("stale cursor: generation %d of document %q is gone (patched away, evicted, or the cursor lease expired)", gen, resp.Doc)
+		resp.staleCursor = true
+	default:
+		resp.Err = fmt.Sprintf("generation %d of document %q is gone (no live cursor or lease kept it)", gen, resp.Doc)
+		resp.staleCursor = true
+	}
+}
+
+// lease issues a cursor token resuming after last, with a lease keeping
+// the request's generation readable for the token's TTL. The request's
+// read reference keeps the generation live, so only an evict can make
+// the lease fail; the error is then the one a resume of the token would
+// get, never a 200 carrying a dead token.
+func (s *Service) lease(st *evalState, last tree.NodeID) (string, *Response) {
+	if err := st.sh.part.Lease(st.h.ID, st.h.Gen, time.Now().Add(s.cursorTTL)); err != nil {
+		resp := st.resp
+		genError(&resp, err, st.h.Gen, true)
+		return "", &resp
+	}
+	return encodeCursor(st.sh.index, st.h.ID, st.h.Gen, last), nil
 }
 
 // outcomeOf classifies a finished response for the flight recorder.
@@ -660,7 +675,9 @@ func (s *Service) Eval(req Request) Response {
 	}
 	// Return the evaluation context to its pool even when the page
 	// limit leaves the cursor unexhausted — the next request for this
-	// (document, query) wants the warm context, not the GC.
+	// (document, query) wants the warm context, not the GC. The read
+	// reference goes last, after any successor token's lease is in place.
+	defer st.sh.part.Release(st.h)
 	defer st.cur.Close()
 	resp := st.resp
 	sp := st.tr.Begin(obsv.SpanPage)
@@ -680,14 +697,22 @@ func (s *Service) Eval(req Request) Response {
 	// resumption token pinned to the owning shard and store generation,
 	// with a lease keeping that generation alive for the token's TTL.
 	if _, more := st.cur.Next(); more && len(nodes) > 0 {
-		resp.Next = encodeCursor(st.sh.index, req.Doc, st.gen, nodes[len(nodes)-1])
-		_ = st.sh.part.Lease(req.Doc, st.gen, time.Now().Add(s.cursorTTL))
+		next, failed := s.lease(&st, nodes[len(nodes)-1])
+		if failed != nil {
+			st.tr.End(sp)
+			failed.ElapsedUS = st.timer.elapsedMicros()
+			st.sh.metrics.recordError()
+			failed.Explain = s.explain(&st, &req, failed)
+			s.finish(&st, &req, failed, outcomeOf(failed), "", 0, false)
+			return *failed
+		}
+		resp.Next = next
 	}
 	// Only now — with any successor token's lease in place — release the
 	// consumed token's lease. Failed resumes never redeem: the client may
 	// retry the same token until its lease expires.
 	if st.fromCursor {
-		st.sh.part.Redeem(req.Doc, st.gen)
+		st.sh.part.Redeem(req.Doc, st.h.Gen)
 	}
 	resp.Nodes = nodes
 	if req.Paths {

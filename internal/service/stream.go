@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"time"
 
 	"repro/internal/obsv"
 	"repro/internal/store"
@@ -47,9 +46,9 @@ type StreamChunk struct {
 // StreamTrailer is the last NDJSON line. A stream that ends without a
 // trailer was truncated (the connection failed mid-stream); clients
 // must treat the trailer, not EOF, as the completion signal. Cursor
-// resumes a stream that a Limit cut short. Err is reserved for future
-// in-band failures — today evaluation completes before the header is
-// written, so nothing can fail in-band.
+// resumes a stream that a Limit cut short. Err reports the one in-band
+// failure: a Limit cut the stream short but no resume cursor could be
+// issued, because the document was evicted while it streamed.
 type StreamTrailer struct {
 	Done      bool   `json:"done"`
 	Chunks    int    `json:"chunks"`
@@ -82,7 +81,10 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) *Response {
 		return &st.resp
 	}
 	// Recycle the evaluation context on every exit path, including
-	// client-gone truncations and limit-cut pages.
+	// client-gone truncations and limit-cut pages. The read reference
+	// keeps the generation for the whole stream and goes last, after any
+	// trailer cursor's lease is in place.
+	defer st.sh.part.Release(st.h)
 	defer st.cur.Close()
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
@@ -177,21 +179,26 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) *Response {
 		ElapsedUS: st.timer.elapsedMicros(),
 	}
 	if _, more := st.cur.Next(); more && sent > 0 {
-		trailer.Cursor = encodeCursor(st.sh.index, req.Doc, st.gen, last)
-		_ = st.sh.part.Lease(req.Doc, st.gen, time.Now().Add(s.cursorTTL))
+		next, failed := s.lease(&st, last)
+		if failed != nil {
+			st.resp = *failed
+			trailer.Err = failed.Err
+			st.sh.metrics.recordError()
+		}
+		trailer.Cursor = next
 	}
 	// The incoming token was consumed only if the stream completed:
 	// redeem its lease after the successor's is in place. Aborted
 	// streams never redeem — the client may retry the same token until
 	// its lease expires.
-	if st.fromCursor {
-		st.sh.part.Redeem(req.Doc, st.gen)
+	if st.fromCursor && trailer.Err == "" {
+		st.sh.part.Redeem(req.Doc, st.h.Gen)
 	}
 	trailer.Explain = s.explain(&st, &req, &st.resp)
 	writeLine(trailer)
 	st.sh.metrics.record(st.cur.Strategy(), trailer.ElapsedUS, st.resp.Visited, st.resp.Count)
 	st.sh.metrics.recordStream(abortNone, chunks, sent, firstByteUS, chunkSumUS, chunkMaxUS)
 	st.resp.ElapsedUS = trailer.ElapsedUS
-	s.finish(&st, &req, &st.resp, obsv.OutcomeOK, "", sent, true)
+	s.finish(&st, &req, &st.resp, outcomeOf(&st.resp), "", sent, true)
 	return nil
 }

@@ -60,12 +60,13 @@ func (s *Store) LoadXMLFile(id, path string) (*store.Handle, error) {
 	return s.part(id).LoadXMLFile(id, path)
 }
 
-// LoadBinary reads a document in the tree.WriteTo format and registers it.
+// LoadBinary reads an XQO2 image into the heap, verifies it and
+// registers it on the owning shard.
 func (s *Store) LoadBinary(id string, r io.Reader) (*store.Handle, error) {
 	return s.part(id).LoadBinary(id, r)
 }
 
-// LoadBinaryFile reads a serialized document file and registers it.
+// LoadBinaryFile reads an XQO2 file into the heap and registers it.
 func (s *Store) LoadBinaryFile(id, path string) (*store.Handle, error) {
 	return s.part(id).LoadBinaryFile(id, path)
 }
@@ -137,6 +138,17 @@ func (s *Store) Patch(id string, base store.Gen, pt tree.Patch) (*store.Handle, 
 // GetAsOf returns a specific generation of id from its owning shard.
 func (s *Store) GetAsOf(id string, gen store.Gen) (*store.Handle, error) {
 	return s.part(id).GetAsOf(id, gen)
+}
+
+// Acquire returns a generation of id (NoGen: latest) with a read
+// reference held on the owning shard (see store.Store.Acquire).
+func (s *Store) Acquire(id string, gen store.Gen) (*store.Handle, error) {
+	return s.part(id).Acquire(id, gen)
+}
+
+// Release drops a read reference taken by Acquire.
+func (s *Store) Release(h *store.Handle) {
+	s.part(h.ID).Release(h)
 }
 
 // Lease keeps (id, gen) readable until the deadline on the owning shard.

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,10 +16,8 @@ import (
 // document online from its XQO2 resident file — mmap, section-table
 // walk, checksums, alias the arrays in place — against the pre-resident
 // preload path, which parses the XML corpus and rebuilds the succinct
-// view and jumping index from scratch. A third row decodes the XQO1 wire
-// format (the intermediate option: no XML parse, but still a full
-// rebuild) for reference. Every variant ends at the same place: a
-// queryable (Document, Succinct, Index) triple.
+// view and jumping index from scratch. Both variants end at the same
+// place: a queryable (Document, Succinct, Index) triple.
 func BenchmarkMmapOpenVsParse(b *testing.B) {
 	d := xmark.Generate(xmark.Config{Scale: 0.05, Seed: 42})
 	dir := b.TempDir()
@@ -30,10 +27,6 @@ func BenchmarkMmapOpenVsParse(b *testing.B) {
 		b.Fatal(err)
 	}
 	xmlSrc := []byte(d.XMLString())
-	var wire bytes.Buffer
-	if _, err := d.WriteTo(&wire); err != nil {
-		b.Fatal(err)
-	}
 	fi, err := os.Stat(xqo2)
 	if err != nil {
 		b.Fatal(err)
@@ -71,21 +64,6 @@ func BenchmarkMmapOpenVsParse(b *testing.B) {
 			// count), so require same-magnitude, not identity.
 			if pd.NumNodes() < d.NumNodes()*9/10 || succ == nil || ix == nil {
 				b.Fatal("parse returned a different document")
-			}
-		}
-	})
-
-	b.Run("decode-xqo1", func(b *testing.B) {
-		b.SetBytes(int64(wire.Len()))
-		for i := 0; i < b.N; i++ {
-			pd, err := tree.ReadDocument(bytes.NewReader(wire.Bytes()))
-			if err != nil {
-				b.Fatal(err)
-			}
-			succ := tree.NewSuccinct(pd)
-			ix := index.New(pd)
-			if pd.NumNodes() != d.NumNodes() || succ == nil || ix == nil {
-				b.Fatal("decode returned a different document")
 			}
 		}
 	})

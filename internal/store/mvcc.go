@@ -24,7 +24,7 @@ var ErrConflict = errors.New("base generation is not latest")
 // chain is the MVCC history of one document: an append-only sequence of
 // immutable generations. latest is read lock-free on the query fast
 // path; gens holds every generation still readable (latest, plus older
-// ones kept alive by cursor pins or leases).
+// ones kept alive by read references or leases).
 type chain struct {
 	mu      sync.Mutex
 	latest  atomic.Pointer[Handle]
@@ -33,15 +33,61 @@ type chain struct {
 	evicted bool
 }
 
-// genEntry tracks what keeps one generation alive: explicit pins
-// (open streaming reads) and time-bounded leases (issued cursor
+// genEntry tracks what keeps one generation alive: read references
+// (requests in flight, and Pin) and time-bounded leases (issued cursor
 // tokens, redeemed when the cursor is consumed). Leases are fungible —
 // any redeem releases the soonest-expiring one — because the store
 // cannot tell which outstanding token came back.
 type genEntry struct {
-	h      *Handle
-	pins   int
-	leases []int64 // unix-nano expiries, unordered
+	h  *Handle
+	ch *chain
+	// refs counts read references, or is retiredRefs once the entry is
+	// retired. References are taken by compare-and-swap and the sweep
+	// retires only by swapping 0 for retiredRefs, so a reader either
+	// gets its reference in before the retire (and blocks it) or sees
+	// the entry retired and re-resolves — without taking ch.mu, so a
+	// latest-generation read never waits behind a patch.
+	refs   atomic.Int64
+	leases []int64 // unix-nano expiries, unordered; guarded by ch.mu
+}
+
+// retiredRefs marks a retired genEntry's reference count.
+const retiredRefs = -1
+
+// acquire takes a read reference unless the entry is retired.
+func (e *genEntry) acquire() bool {
+	for {
+		r := e.refs.Load()
+		if r == retiredRefs {
+			return false
+		}
+		if e.refs.CompareAndSwap(r, r+1) {
+			return true
+		}
+	}
+}
+
+// release drops a read reference, reporting whether it was the last.
+// It is a no-op on a retired entry (evict overrides references) and on
+// an entry without references (an unbalanced Unpin).
+func (e *genEntry) release() bool {
+	for {
+		r := e.refs.Load()
+		if r <= 0 {
+			return false
+		}
+		if e.refs.CompareAndSwap(r, r-1) {
+			return r == 1
+		}
+	}
+}
+
+// addGen registers a freshly built handle as generation gen of ch.
+// Caller holds ch.mu or owns ch exclusively.
+func (ch *chain) addGen(gen Gen, h *Handle) {
+	h.Gen, h.Stats.Gen = gen, gen
+	h.ent = &genEntry{h: h, ch: ch}
+	ch.gens[gen] = h.ent
 }
 
 // genSeedMask keeps entropy-seeded generation counters within 2^52 so
@@ -58,23 +104,19 @@ func newChain(h *Handle) *chain {
 	if seed == 0 {
 		seed = 1
 	}
-	h.Gen = seed
-	h.Stats.Gen = seed
-	ch := &chain{
-		gens:    map[Gen]*genEntry{seed: {h: h}},
-		nextGen: seed + 1,
-	}
+	ch := &chain{gens: make(map[Gen]*genEntry), nextGen: seed + 1}
+	ch.addGen(seed, h)
 	ch.latest.Store(h)
 	return ch
 }
 
 // Patch applies a subtree patch to the latest generation of id and
-// publishes the result as a new generation, maintaining the index (and
-// the balanced-parentheses view, if built) incrementally from the
-// parent generation instead of rebuilding. If base is non-zero the
-// patch only applies when base is still the latest generation
-// (optimistic concurrency); base zero means "latest, whatever it is".
-// Existing readers are untouched: they keep the generation they pinned.
+// publishes the result as a new generation, maintaining the index
+// incrementally from the parent generation instead of rebuilding. If
+// base is non-zero the patch only applies when base is still the latest
+// generation (optimistic concurrency); base zero means "latest,
+// whatever it is". Existing readers are untouched: they keep the
+// generation they hold.
 func (s *Store) Patch(id string, base Gen, pt tree.Patch) (*Handle, error) {
 	ch := s.chainFor(id)
 	if ch == nil {
@@ -98,30 +140,8 @@ func (s *Store) Patch(id string, base Gen, pt tree.Patch) (*Handle, error) {
 	}
 	gen := ch.nextGen
 	ch.nextGen++
-	h := &Handle{
-		ID:    id,
-		Gen:   gen,
-		Doc:   newDoc,
-		Index: index.Apply(cur.Index, newDoc, dl),
-		succ:  &succCell{},
-	}
-	// Splice the BP view forward only if the parent generation already
-	// built one; otherwise stay lazy — Succinct() rebuilds on demand.
-	if cur.succ != nil {
-		if ps := cur.succ.p.Load(); ps != nil {
-			h.succ.p.Store(tree.SpliceSuccinct(ps, newDoc, dl))
-		}
-	}
-	h.Stats = Stats{
-		ID:       id,
-		Gen:      gen,
-		Nodes:    newDoc.NumNodes(),
-		Labels:   newDoc.Names().Size(),
-		MemBytes: estimateBytes(newDoc),
-		Source:   SourcePatch,
-		LoadedAt: time.Now(),
-	}
-	ch.gens[gen] = &genEntry{h: h}
+	h := newHandle(id, newDoc, index.Apply(cur.Index, newDoc, dl), SourcePatch)
+	ch.addGen(gen, h)
 	ch.latest.Store(h)
 	retiredGens := ch.sweepLocked(time.Now().UnixNano())
 	ch.mu.Unlock()
@@ -149,25 +169,65 @@ func (s *Store) GetAsOf(id string, gen Gen) (*Handle, error) {
 	return e.h, nil
 }
 
-// Pin takes a reference on (id, gen), keeping the generation readable
-// across later patches until Unpin. Used by streaming reads for the
-// duration of the response.
-func (s *Store) Pin(id string, gen Gen) error {
+// Acquire returns generation gen of id (NoGen: the latest) with a read
+// reference held: no patch or sweep retires it until Release, so a
+// request can issue a cursor token for it after any number of
+// concurrent patches. The latest generation is acquired without locks;
+// if a patch retires it between the load and the reference, the read
+// re-resolves latest. A missing document is ErrNotFound; a retired
+// generation is ErrGone.
+func (s *Store) Acquire(id string, gen Gen) (*Handle, error) {
 	ch := s.chainFor(id)
 	if ch == nil {
-		return fmt.Errorf("store: document %q: %w", id, ErrNotFound)
+		return nil, fmt.Errorf("store: document %q: %w", id, ErrNotFound)
+	}
+	if gen == NoGen {
+		for {
+			h := ch.latest.Load()
+			if h == nil {
+				return nil, fmt.Errorf("store: document %q: %w", id, ErrNotFound)
+			}
+			if h.ent.acquire() {
+				s.touchMapped(id)
+				return h, nil
+			}
+		}
 	}
 	ch.mu.Lock()
-	defer ch.mu.Unlock()
 	e, ok := ch.gens[gen]
+	// Entries leave gens in the same critical section that retires
+	// them, so one still listed always takes the reference.
+	ok = ok && e.acquire()
+	ch.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("store: document %q generation %d: %w", id, gen, ErrGone)
+		return nil, fmt.Errorf("store: document %q generation %d: %w", id, gen, ErrGone)
 	}
-	e.pins++
-	return nil
+	s.touchMapped(id)
+	return e.h, nil
 }
 
-// Unpin drops a Pin reference. When the last pin and lease of a
+// Release drops a read reference taken by Acquire. Dropping the last
+// one on a generation a patch has since superseded retires it, unless a
+// lease still keeps it.
+func (s *Store) Release(h *Handle) {
+	ch := h.ent.ch
+	if !h.ent.release() || ch.latest.Load() == h {
+		return
+	}
+	ch.mu.Lock()
+	retiredGens := ch.sweepLocked(time.Now().UnixNano())
+	ch.mu.Unlock()
+	s.notifyRetired(h.ID, retiredGens)
+}
+
+// Pin takes a read reference on (id, gen), keeping the generation
+// readable across later patches until Unpin.
+func (s *Store) Pin(id string, gen Gen) error {
+	_, err := s.Acquire(id, gen)
+	return err
+}
+
+// Unpin drops a Pin reference. When the last reference and lease of a
 // non-latest generation drain, the generation is retired.
 func (s *Store) Unpin(id string, gen Gen) {
 	ch := s.chainFor(id)
@@ -175,12 +235,11 @@ func (s *Store) Unpin(id string, gen Gen) {
 		return
 	}
 	ch.mu.Lock()
-	if e, ok := ch.gens[gen]; ok && e.pins > 0 {
-		e.pins--
-	}
-	retiredGens := ch.sweepLocked(time.Now().UnixNano())
+	e := ch.gens[gen]
 	ch.mu.Unlock()
-	s.notifyRetired(id, retiredGens)
+	if e != nil {
+		s.Release(e.h)
+	}
 }
 
 // Lease keeps (id, gen) readable until the deadline — the lifetime of
@@ -225,8 +284,9 @@ func (s *Store) Redeem(id string, gen Gen) {
 }
 
 // sweepLocked retires every generation that is not the latest and has
-// no pins and no unexpired leases. Caller holds ch.mu; the retired
-// generation ids are returned so the callback can run outside locks.
+// no read references and no unexpired leases. Caller holds ch.mu; the
+// retired generation ids are returned so the callback can run outside
+// locks.
 func (ch *chain) sweepLocked(nowNS int64) []Gen {
 	latest := ch.latest.Load()
 	var retired []Gen
@@ -242,7 +302,7 @@ func (ch *chain) sweepLocked(nowNS int64) []Gen {
 		if latest != nil && e.h == latest && !ch.evicted {
 			continue
 		}
-		if e.pins == 0 && len(e.leases) == 0 {
+		if len(e.leases) == 0 && e.refs.CompareAndSwap(0, retiredRefs) {
 			delete(ch.gens, gen)
 			retired = append(retired, gen)
 		}

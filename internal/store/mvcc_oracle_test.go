@@ -147,23 +147,6 @@ func checkHandle(h *store.Handle) error {
 			return fmt.Errorf("index binEnd[%d] = %d, want %d", v, got, want)
 		}
 	}
-	// Succinct view: excess sequence (hence every bit) plus navigation.
-	gs, ws := h.Succinct(), tree.NewSuccinct(d)
-	if gs.NumNodes() != ws.NumNodes() {
-		return fmt.Errorf("succinct nodes = %d, want %d", gs.NumNodes(), ws.NumNodes())
-	}
-	for i := 0; i < 2*ws.NumNodes(); i++ {
-		if gs.Excess(i) != ws.Excess(i) {
-			return fmt.Errorf("succinct excess(%d) = %d, want %d", i, gs.Excess(i), ws.Excess(i))
-		}
-	}
-	for v := tree.NodeID(0); int(v) < ws.NumNodes(); v++ {
-		if gs.OpenPos(v) != ws.OpenPos(v) || gs.Parent(v) != ws.Parent(v) ||
-			gs.FirstChild(v) != ws.FirstChild(v) || gs.NextSibling(v) != ws.NextSibling(v) ||
-			gs.LastDesc(v) != ws.LastDesc(v) || gs.Depth(v) != ws.Depth(v) {
-			return fmt.Errorf("succinct navigation differs at node %d", v)
-		}
-	}
 	// Query answers: the engine over the incrementally maintained index
 	// must agree with an engine whose index was built from scratch, for
 	// every strategy (Auto's short-circuits read the index, so a wrong

@@ -1,12 +1,13 @@
 // Package store is the document registry of the multi-document query
 // service: a concurrency-safe map from document id to a *generation
 // chain* — the MVCC history of one logical document. Documents arrive
-// from three sources — XML parsing, the binary tree serialization
-// (tree.WriteTo/tree.ReadDocument), or XMark generation — and the store
-// builds the index.Index exactly once per generation: at load time for
-// generation one, and incrementally (array splice + index splice, see
-// Patch in mvcc.go) for every patched generation after it. Each
-// generation is immutable; readers pin the one they started on and are
+// from XML parsing, XMark generation, or the one binary format, XQO2
+// (xqo2.go): read into a verified heap buffer (LoadBinary) or mapped
+// zero-copy (LoadMapped). The store builds the index.Index at most once
+// per generation: at load time for generation one (XQO2 files carry
+// theirs), and incrementally (array splice + index splice, see Patch in
+// mvcc.go) for every patched generation after it. Each generation is
+// immutable; a reader holds a reference on the one it started on and is
 // never invalidated by later patches.
 package store
 
@@ -88,12 +89,6 @@ type Stats struct {
 	LiveGens int `json:"live_gens,omitempty"`
 }
 
-// succCell lazily caches a generation's balanced-parentheses view. It
-// sits behind a pointer so Handle stays trivially copyable.
-type succCell struct {
-	p atomic.Pointer[tree.Succinct]
-}
-
 // Handle is an immutable view of one generation of one resident
 // document. The document and index never change after the generation is
 // built, so a Handle stays valid after the generation is retired or the
@@ -105,28 +100,13 @@ type Handle struct {
 	Doc   *tree.Document
 	Index *index.Index
 	Stats Stats
-	succ  *succCell
+	// ent is the generation's entry in its chain (nil until published);
+	// it carries the read reference count.
+	ent *genEntry
 	// mapping is the XQO2 mapping the generation aliases; nil for
 	// heap-backed documents. The store uses it for resident-budget
 	// release; the Document's own reference keeps it alive.
 	mapping *mmapx.Mapping
-}
-
-// Succinct returns the generation's balanced-parentheses view, building
-// it on first use. Patched generations whose parent already built one
-// inherit a bit-spliced copy instead (see Patch), so the build cost is
-// paid at most once per load chain.
-func (h *Handle) Succinct() *tree.Succinct {
-	if h.succ == nil {
-		return tree.NewSuccinct(h.Doc)
-	}
-	if s := h.succ.p.Load(); s != nil {
-		return s
-	}
-	s := tree.NewSuccinct(h.Doc)
-	// A racing builder produces an identical view; either may win.
-	h.succ.p.Store(s)
-	return s
 }
 
 // Store is a concurrency-safe registry of loaded documents.
@@ -209,13 +189,15 @@ func (s *Store) load(id string, src Source, build func() (*tree.Document, error)
 		if err != nil {
 			return nil, err
 		}
-		return buildHandle(id, d, src), nil
+		// The index build is the expensive step the single-flight
+		// protocol exists to deduplicate.
+		return newHandle(id, d, index.New(d), src), nil
 	})
 }
 
 // loadHandle is load for builders that produce a complete Handle — the
-// mapped-open path arrives with its index and succinct view already
-// aliased from the file, so the document-only builder shape doesn't fit.
+// XQO2 paths arrive with their index already aliased from the file, so
+// the document-only builder shape doesn't fit.
 func (s *Store) loadHandle(id string, build func() (*Handle, error)) (*Handle, error) {
 	if id == "" {
 		return nil, fmt.Errorf("store: empty document id")
@@ -294,20 +276,17 @@ func (s *Store) runBuild(id string, build func() (*Handle, error), c *loadCall, 
 	return h, err
 }
 
-// buildHandle constructs the immutable handle, building the index —
-// the expensive step the single-flight protocol exists to deduplicate.
-// The generation is stamped at publish time (newChain).
-func buildHandle(id string, d *tree.Document, src Source) *Handle {
-	h := &Handle{ID: id, Doc: d, Index: index.New(d), succ: &succCell{}}
-	h.Stats = Stats{
+// newHandle constructs the immutable handle for a document and its
+// index. The generation is stamped at publish time (newChain).
+func newHandle(id string, d *tree.Document, ix *index.Index, src Source) *Handle {
+	return &Handle{ID: id, Doc: d, Index: ix, Stats: Stats{
 		ID:       id,
 		Nodes:    d.NumNodes(),
 		Labels:   d.Names().Size(),
 		MemBytes: estimateBytes(d),
 		Source:   src,
 		LoadedAt: time.Now(),
-	}
-	return h
+	}}
 }
 
 // Add registers an already-built document under id, building its index.
@@ -339,19 +318,21 @@ func (s *Store) LoadXMLFile(id, path string) (*Handle, error) {
 	return s.LoadXML(id, data)
 }
 
-// LoadBinary reads a document in the tree.WriteTo format and registers
-// it; for large XMark trees this skips XML parsing entirely.
+// LoadBinary reads an XQO2 image from r into the heap, verifies it in
+// full (ReadXQO2) and registers it. Neither XML parsing nor the index
+// build runs: both the document and its index come from the image.
 func (s *Store) LoadBinary(id string, r io.Reader) (*Handle, error) {
-	return s.load(id, SourceBinary, func() (*tree.Document, error) {
-		d, err := tree.ReadDocument(r)
+	return s.loadHandle(id, func() (*Handle, error) {
+		d, ix, err := ReadXQO2(r)
 		if err != nil {
 			return nil, fmt.Errorf("store: reading %q: %w", id, err)
 		}
-		return d, nil
+		return newHandle(id, d, ix, SourceBinary), nil
 	})
 }
 
-// LoadBinaryFile reads a serialized document file and registers it.
+// LoadBinaryFile reads an XQO2 file into the heap and registers it (see
+// LoadBinary; LoadMapped serves the same file zero-copy instead).
 func (s *Store) LoadBinaryFile(id, path string) (*Handle, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -422,7 +403,8 @@ func (s *Store) Evict(id string) bool {
 	ch.evicted = true
 	ch.latest.Store(nil)
 	gens := make([]Gen, 0, len(ch.gens))
-	for g := range ch.gens {
+	for g, e := range ch.gens {
+		e.refs.Store(retiredRefs)
 		gens = append(gens, g)
 		delete(ch.gens, g)
 	}

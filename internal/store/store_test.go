@@ -2,10 +2,14 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/tree"
 )
 
 func TestLoadXMLAndStats(t *testing.T) {
@@ -74,7 +78,7 @@ func TestBinaryRoundTripThroughStore(t *testing.T) {
 	s := New()
 	h := mustLoad(t, s, "orig")
 	var buf bytes.Buffer
-	if _, err := h.Doc.WriteTo(&buf); err != nil {
+	if _, err := WriteXQO2(&buf, h.Doc); err != nil {
 		t.Fatal(err)
 	}
 	h2, err := s.LoadBinary("copy", &buf)
@@ -92,12 +96,12 @@ func TestBinaryRoundTripThroughStore(t *testing.T) {
 func TestLoadBinaryFile(t *testing.T) {
 	s := New()
 	h := mustLoad(t, s, "orig")
-	path := filepath.Join(t.TempDir(), "doc.xqo")
+	path := filepath.Join(t.TempDir(), "doc.xqo2")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Doc.WriteTo(f); err != nil {
+	if _, err := WriteXQO2(f, h.Doc); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -133,4 +137,59 @@ func mustLoad(t *testing.T, s *Store, id string) *Handle {
 		t.Fatal(err)
 	}
 	return h
+}
+
+// TestAcquireHoldsGenerationForLease pins the read-reference contract
+// the service's cursor tokens rely on: a generation acquired before a
+// patch stays readable — and leasable — until Release, and the release
+// of its last reference retires it once nothing else keeps it.
+func TestAcquireHoldsGenerationForLease(t *testing.T) {
+	s := New()
+	mustLoad(t, s, "d")
+	h, err := s.Acquire("d", NoGen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := func() {
+		t.Helper()
+		frag := mustLoad(t, New(), "frag").Doc
+		if _, err := s.Patch("d", NoGen, tree.Patch{Op: tree.OpInsert, Node: 1, Before: tree.Nil, Frag: frag}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ins()
+	if err := s.Lease("d", h.Gen, time.Now().Add(time.Hour)); err != nil {
+		t.Fatalf("lease of an acquired, superseded generation: %v", err)
+	}
+	s.Release(h)
+	if _, err := s.GetAsOf("d", h.Gen); err != nil {
+		t.Fatalf("leased generation retired on release: %v", err)
+	}
+	s.Redeem("d", h.Gen)
+	if _, err := s.GetAsOf("d", h.Gen); !errors.Is(err, ErrGone) {
+		t.Fatalf("after redeem: err = %v, want ErrGone", err)
+	}
+
+	// The last release retires a superseded generation by itself.
+	h2, err := s.Acquire("d", NoGen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins()
+	s.Release(h2)
+	if _, err := s.Acquire("d", h2.Gen); !errors.Is(err, ErrGone) {
+		t.Fatalf("after last release: err = %v, want ErrGone", err)
+	}
+
+	// Evict overrides references: the lease an in-flight read would
+	// take fails, and its release is harmless.
+	h3, err := s.Acquire("d", NoGen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Evict("d")
+	if err := s.Lease("d", h3.Gen, time.Now().Add(time.Hour)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("lease after evict: err = %v, want ErrNotFound", err)
+	}
+	s.Release(h3)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -16,8 +17,9 @@ import (
 
 // XQO2 composition: the tree package owns the container and the
 // document/succinct sections, the index package owns its sections, and
-// this file glues them into whole-file save/open operations plus the
-// store's resident-budget paging.
+// this file glues them into whole-file save and open operations — one
+// open over (bytes, owner), reached from a mapping or from a heap
+// buffer — plus the store's resident-budget paging.
 //
 // A mapped document's arrays alias read-only file pages. Patching it is
 // safe — Document.Apply and index.Apply copy everything into fresh heap
@@ -34,22 +36,87 @@ func WriteXQO2(w io.Writer, d *tree.Document) (int64, error) {
 	return lw.WriteTo(w)
 }
 
-// SaveXQO2File writes d to path in the XQO2 format.
-func SaveXQO2File(path string, d *tree.Document) error {
-	f, err := os.Create(path)
+// SaveXQO2File writes d to path in the XQO2 format without writing to
+// the file path names now: the image goes to a temporary file in the
+// same directory, is fsynced and renamed over path, and then the
+// directory is fsynced so the rename is durable. A daemon that has the
+// old file mapped keeps reading the old inode — an in-place rewrite
+// would truncate the pages under it (SIGBUS) or silently change its
+// arrays — and a crash mid-save leaves the old file whole.
+func SaveXQO2File(path string, d *tree.Document) (err error) {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+			err = fmt.Errorf("store: writing %s: %w", path, err)
+		}
+	}()
 	bw := bufio.NewWriterSize(f, 1<<20)
 	if _, err := WriteXQO2(bw, d); err != nil {
-		f.Close()
-		return fmt.Errorf("store: writing %s: %w", path, err)
+		return err
 	}
 	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: writing %s: %w", path, err)
+		return err
 	}
-	return f.Close()
+	// CreateTemp makes the file owner-only; give it what os.Create
+	// would have under the usual umask.
+	if err := f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory so a rename inside it survives a crash.
+func syncDir(dir string) error {
+	df, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer df.Close()
+	return df.Sync()
+}
+
+// openXQO2 reassembles the document, its succinct view and its jumping
+// index from an XQO2 image, aliasing data in place. owner keeps data's
+// memory alive (a mapping, or the heap buffer data was read into); the
+// document retains it.
+func openXQO2(data []byte, owner any) (*tree.Document, *tree.Succinct, *index.Index, error) {
+	l, err := tree.OpenLayout(data, owner)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	d, succ, err := tree.DocumentFromLayout(l)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ix, err := index.FromLayout(l, d)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return d, succ, ix, nil
+}
+
+// verifyXQO2 runs the element-wise structural validation of an opened
+// image: the document first, since the index check reads its links.
+func verifyXQO2(d *tree.Document, ix *index.Index) error {
+	if err := d.VerifyStructure(); err != nil {
+		return err
+	}
+	return ix.VerifyStructure()
 }
 
 // OpenXQO2 maps path and reassembles the document, its succinct view and
@@ -61,15 +128,7 @@ func OpenXQO2(path string) (*tree.Document, *tree.Succinct, *index.Index, *mmapx
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	l, err := tree.OpenLayout(m.Data(), m)
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	d, succ, err := tree.DocumentFromLayout(l)
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	ix, err := index.FromLayout(l, d)
+	d, succ, ix, err := openXQO2(m.Data(), m)
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -77,22 +136,81 @@ func OpenXQO2(path string) (*tree.Document, *tree.Succinct, *index.Index, *mmapx
 }
 
 // OpenXQO2Verified is OpenXQO2 plus the element-wise structural
-// validation pass (every link, occurrence and offset range-checked).
-// Use it for files that did not originate from this process: the
-// default open only verifies checksums, which catch corruption but not
-// a crafted file whose out-of-range values would panic a later query.
+// validation pass (every link, occurrence and offset checked against
+// the one tree and index they must describe). Use it for files that did
+// not originate from this process: the default open only verifies
+// checksums, which catch corruption but not a crafted file whose values
+// would panic a later query.
 func OpenXQO2Verified(path string) (*tree.Document, *tree.Succinct, *index.Index, *mmapx.Mapping, error) {
 	d, succ, ix, m, err := OpenXQO2(path)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	if err := d.VerifyStructure(); err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := ix.VerifyStructure(); err != nil {
+	if err := verifyXQO2(d, ix); err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return d, succ, ix, m, nil
+}
+
+// ReadXQO2 reads a whole XQO2 image from r into an 8-byte-aligned heap
+// buffer and opens it with full structural verification. The document
+// and its index alias the buffer: nothing is decoded or rebuilt, and the
+// index comes from the file. This is the load path for binary documents
+// handed over by clients and operators, so it always verifies — an
+// accepted image is exactly a document the Builder could have produced,
+// with the index New would build for it.
+func ReadXQO2(r io.Reader) (*tree.Document, *index.Index, error) {
+	// Size the buffer up front when the reader knows its length (a
+	// file, or an in-memory reader): growing it by doubling costs more
+	// copying and zeroing than the whole verified open.
+	size := int64(0)
+	switch r := r.(type) {
+	case *os.File:
+		if fi, err := r.Stat(); err == nil {
+			size = fi.Size()
+		}
+	case interface{ Len() int }:
+		size = int64(r.Len())
+	}
+	data, owner, err := readAligned(r, size)
+	if err != nil {
+		return nil, nil, err
+	}
+	d, _, ix, err := openXQO2(data, owner)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := verifyXQO2(d, ix); err != nil {
+		return nil, nil, err
+	}
+	return d, ix, nil
+}
+
+// readAligned reads r to EOF into a buffer backed by a []uint64, so every
+// 64-byte-aligned section offset is aligned for any element type the
+// sections hold. size is a capacity hint (the file size when known);
+// the []uint64 is returned as the buffer's owner.
+func readAligned(r io.Reader, size int64) ([]byte, []uint64, error) {
+	// One spare word, so reading a file of exactly the hinted size
+	// reaches EOF without growing the buffer.
+	words := make([]uint64, size/8+2)
+	buf := tree.SliceBytes(words)
+	n := 0
+	for {
+		if n == len(buf) {
+			grown := make([]uint64, 2*len(words))
+			copy(grown, words)
+			words, buf = grown, tree.SliceBytes(grown)
+		}
+		k, err := r.Read(buf[n:])
+		n += k
+		if err == io.EOF {
+			return buf[:n], words, nil
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
 }
 
 // SetVerifyResident makes every subsequent LoadMapped run the full
@@ -111,21 +229,13 @@ func (s *Store) LoadMapped(id, path string) (*Handle, error) {
 		if s.verifyResident.Load() {
 			open = OpenXQO2Verified
 		}
-		d, succ, ix, m, err := open(path)
+		d, _, ix, m, err := open(path)
 		if err != nil {
 			return nil, fmt.Errorf("store: opening %q: %w", id, err)
 		}
-		h := &Handle{ID: id, Doc: d, Index: ix, succ: &succCell{}, mapping: m}
-		h.succ.p.Store(succ)
-		h.Stats = Stats{
-			ID:          id,
-			Nodes:       d.NumNodes(),
-			Labels:      d.Names().Size(),
-			MemBytes:    estimateBytes(d),
-			MappedBytes: int64(m.Len()),
-			Source:      SourceMapped,
-			LoadedAt:    time.Now(),
-		}
+		h := newHandle(id, d, ix, SourceMapped)
+		h.mapping = m
+		h.Stats.MappedBytes = int64(m.Len())
 		return h, nil
 	})
 	if err == nil {

@@ -23,8 +23,9 @@ func saveXQO2(t *testing.T, d *tree.Document) string {
 }
 
 // TestXQO2RoundTrip checks that a mapped open reproduces the document,
-// succinct view and index exactly, and that the document survives a
-// release (pages refault from the file).
+// succinct view and index exactly, that the document survives a
+// release (pages refault from the file), and that the verified heap
+// open of the same file reproduces the document and index too.
 func TestXQO2RoundTrip(t *testing.T) {
 	d := xmark.Generate(xmark.Config{Scale: 0.002, Seed: 7})
 	path := saveXQO2(t, d)
@@ -65,6 +66,19 @@ func TestXQO2RoundTrip(t *testing.T) {
 	if d2.XMLString() != d.XMLString() {
 		t.Fatal("XML mismatch after release")
 	}
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	d3, ix3, err := ReadXQO2(f)
+	if err != nil {
+		t.Fatalf("ReadXQO2: %v", err)
+	}
+	if !sameDocument(d, d3) || !sameIndex(ix3, index.New(d)) {
+		t.Fatal("heap open changed the document or its index")
+	}
 }
 
 // TestXQO2Corruption flips bytes across the file and requires every
@@ -101,9 +115,10 @@ func TestXQO2Corruption(t *testing.T) {
 	}
 }
 
-// TestXQO2Malformed covers the explicit rejection matrix: bad magic, bad
-// version, a corrupt section payload (checksum mismatch), and a section
-// table pointing past the end of the file.
+// TestXQO2Malformed covers the explicit rejection matrix: empty and
+// short files, bad magic, a retired format generation, bad version, a
+// corrupt section payload or checksum field (checksum mismatch), and a
+// section table pointing past the end of the file.
 func TestXQO2Malformed(t *testing.T) {
 	d := xmark.Generate(xmark.Config{Scale: 0.001, Seed: 5})
 	path := saveXQO2(t, d)
@@ -111,29 +126,40 @@ func TestXQO2Malformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutants := map[string]func([]byte){
-		"bad magic":   func(b []byte) { copy(b[0:4], "YYYY") },
-		"bad version": func(b []byte) { b[4] = 99 },
-		"corrupt payload": func(b []byte) {
+	mutants := map[string]func([]byte) []byte{
+		"empty":          func(b []byte) []byte { return nil },
+		"short header":   func(b []byte) []byte { return b[:6] },
+		"bad magic":      func(b []byte) []byte { copy(b[0:4], "YYYY"); return b },
+		"retired format": func(b []byte) []byte { copy(b[0:4], "XQO1"); return b },
+		"bad version":    func(b []byte) []byte { b[4] = 99; return b },
+		"corrupt payload": func(b []byte) []byte {
 			// First payload starts at the 64-byte-aligned end of the
 			// section table (header 24 bytes + count entries of 24).
 			count := int(binary.LittleEndian.Uint32(b[16:]))
 			off := (24 + count*24 + 63) &^ 63
 			b[off] ^= 0x5a
+			return b
 		},
-		"corrupt section table": func(b []byte) {
+		"corrupt checksum": func(b []byte) []byte {
+			b[28] ^= 0xff // checksum field of the first table entry
+			return b
+		},
+		"corrupt section table": func(b []byte) []byte {
 			b[40] ^= 0xff // length field of the first table entry
+			return b
 		},
 	}
 	for name, mutate := range mutants {
-		data := bytes.Clone(orig)
-		mutate(data)
+		data := mutate(bytes.Clone(orig))
 		mut := filepath.Join(t.TempDir(), "mut.xqo2")
 		if err := os.WriteFile(mut, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, _, _, err := OpenXQO2(mut); err == nil {
 			t.Errorf("%s: expected error", name)
+		}
+		if _, _, err := ReadXQO2(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: heap open accepted it", name)
 		}
 	}
 }
@@ -169,7 +195,8 @@ func rewriteSection(t *testing.T, data []byte, kind uint32, mutate func(payload 
 // and the verified open: a CRC-valid file with out-of-range content is
 // accepted by OpenXQO2 (checksums only catch corruption; resident files
 // are a cache artifact this process wrote) but rejected by
-// OpenXQO2Verified and by a store in -verify-resident mode.
+// OpenXQO2Verified, by a store in -verify-resident mode, and by every
+// heap binary load (LoadBinary always verifies).
 func TestXQO2VerifyStructure(t *testing.T) {
 	d := xmark.Generate(xmark.Config{Scale: 0.001, Seed: 11})
 	path := saveXQO2(t, d)
@@ -183,6 +210,36 @@ func TestXQO2VerifyStructure(t *testing.T) {
 		t.Fatalf("verified open of pristine file: %v", err)
 	}
 
+	// c: an inner node below the document element whose label occurred
+	// before it, so relabeling it leaves every occurrence list's head
+	// (the default open's spot check) intact.
+	c := tree.NodeID(-1)
+	seen := map[tree.LabelID]bool{}
+	for v := tree.NodeID(2); int(v) < d.NumNodes() && c < 0; v++ {
+		if d.LastDesc(v) > v && seen[d.Label(v)] {
+			c = v
+		}
+		seen[d.Label(v)] = true
+	}
+	// lab: a label whose first occurrence u is directly followed by a
+	// node of another label that precedes the label's second occurrence.
+	ix := index.New(d)
+	lab, lo := -1, 0
+	for l := 0; l < d.Names().Size() && lab < 0; l++ {
+		occ := ix.Occurrences(tree.LabelID(l))
+		if len(occ) >= 2 && occ[0]+1 < occ[1] && d.Label(occ[0]+1) != tree.LabelID(l) {
+			lab = l
+		} else {
+			lo += len(occ)
+		}
+	}
+	if c < 0 || lab < 0 {
+		t.Fatal("pick a seed with a repeated inner label and a spaced-out occurrence list")
+	}
+	put := func(i int, v int32) func([]byte) {
+		return func(p []byte) { binary.LittleEndian.PutUint32(p[4*i:], uint32(v)) }
+	}
+
 	mutants := map[string]func([]byte){
 		"parent out of range": func(b []byte) {
 			rewriteSection(t, b, tree.SecParent, func(p []byte) {
@@ -193,6 +250,24 @@ func TestXQO2VerifyStructure(t *testing.T) {
 			rewriteSection(t, b, tree.SecLastDesc, func(p []byte) {
 				binary.LittleEndian.PutUint32(p[len(p)-4:], 0)
 			})
+		},
+		// In-range but inconsistent links: only the tree-consistency
+		// part of the verification stands between these and a query
+		// that loops (a sibling cycle) or answers wrongly.
+		"sibling cycle":     func(b []byte) { rewriteSection(t, b, tree.SecNextSibling, put(int(c), int32(c))) },
+		"parent after node": func(b []byte) { rewriteSection(t, b, tree.SecParent, put(int(c), int32(c+1))) },
+		"wrong depth":       func(b []byte) { rewriteSection(t, b, tree.SecDepth, put(int(c), int32(d.Depth(c)+1))) },
+		"leaf with children": func(b []byte) {
+			rewriteSection(t, b, tree.SecLastDesc, put(int(c), int32(c)))
+		},
+		"text with children": func(b []byte) {
+			rewriteSection(t, b, tree.SecLabels, put(int(c), int32(tree.LabelText)))
+		},
+		"firstChild skips": func(b []byte) { rewriteSection(t, b, tree.SecFirstChild, put(0, 2)) },
+		"binEnd wrong":     func(b []byte) { rewriteSection(t, b, index.SecBinEnd, put(int(c), int32(c))) },
+		"occurrence of another label": func(b []byte) {
+			occ := ix.Occurrences(tree.LabelID(lab))
+			rewriteSection(t, b, index.SecOccAll, put(lo+1, int32(occ[0]+1)))
 		},
 		"occurrences unsorted": func(b []byte) {
 			// Swap the first two occurrences of some label with a list of
@@ -236,6 +311,9 @@ func TestXQO2VerifyStructure(t *testing.T) {
 		s.SetVerifyResident(true)
 		if _, err := s.LoadMapped("bad", mut); err == nil {
 			t.Errorf("%s: verifying store accepted structurally invalid content", name)
+		}
+		if _, err := s.LoadBinaryFile("bad-heap", mut); err == nil {
+			t.Errorf("%s: heap binary load accepted structurally invalid content", name)
 		}
 	}
 }

@@ -12,13 +12,15 @@ import (
 	"repro/internal/bp"
 )
 
-// XQO2 resident layout. Unlike the XQO1 event stream — which must be
-// decoded through a Builder — XQO2 stores every array of the in-memory
-// representation (document link arrays, text offsets + blob, bitvector
-// words, rank superblocks, BP segment tree, label table) verbatim in
-// 64-byte-aligned, CRC-checksummed sections, so an mmap'd file can be
-// aliased into live structures without copying or rebuilding anything.
-// Opening a corpus is page-table setup; the OS pages cold documents.
+// XQO2, the one binary document format. It stores every array of the
+// in-memory representation (document link arrays, text offsets + blob,
+// bitvector words, rank superblocks, BP segment tree, label table)
+// verbatim in 64-byte-aligned, CRC-checksummed sections, so an mmap'd
+// file — or a file read into an aligned heap buffer — is aliased into
+// live structures without decoding or rebuilding anything. Opening a
+// mapped corpus is page-table setup; the OS pages cold documents. The
+// price is size: verbatim 4-byte arrays take several times the bytes of
+// a varint encoding.
 //
 //	offset 0   magic "XQO2"
 //	       4   version  (uint32 LE)
@@ -178,6 +180,11 @@ type Layout struct {
 // section's bounds and CRC are checked here, so corruption surfaces as a
 // wrapped error at open rather than a fault mid-query.
 func OpenLayout(data []byte, owner any) (*Layout, error) {
+	// Another XQO generation (the retired varint event stream)
+	// gets a re-save hint instead of a bare bad-magic error.
+	if len(data) >= 4 && string(data[:3]) == xqo2Magic[:3] && data[3] != xqo2Magic[3] {
+		return nil, fmt.Errorf("tree: %q is a retired document format; re-save the document from its XML source (xpq -file doc.xml -save doc.xqo2)", data[:4])
+	}
 	if len(data) < xqo2HeaderLen {
 		return nil, fmt.Errorf("tree: xqo2: short file (%d bytes)", len(data))
 	}
@@ -433,73 +440,33 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 }
 
 // VerifyStructure runs the element-wise structural validation that the
-// zero-copy open skips by default: every link in range, lastDesc forming
-// valid subtree intervals, labels within the name table, and text
-// offsets monotone within the blob. It is the defense for files from
-// outside this process — a crafted value that passes the checksums
-// (which only catch corruption) would otherwise surface as a bounds
-// panic on whatever query first touches it. Each array gets one
-// branchless streaming pass (allU32Below and friends accumulate the
-// range predicate with OR/AND folds), the passes run in parallel over
-// their disjoint arrays, and the offending node is found by a re-scan
-// only on failure.
+// zero-copy open skips by default. It accepts exactly the arrays a
+// Builder (or a patch of a built document) produces: labels within a
+// name table without duplicates, text offsets monotone within the blob,
+// text nodes as leaves, and link arrays that describe one preorder tree
+// (see verifyLinks). It is the defense for files from outside this
+// process — a crafted value that passes the checksums (which only catch
+// corruption) would otherwise surface as a bounds panic, an endless
+// sibling loop or a silently wrong answer on whatever query first
+// touches it. The label and text checks are branchless streaming folds;
+// the link check is local to each node, so it runs over fixed-size node
+// ranges; all of them run in parallel, and the offending node is found
+// by a re-scan only on failure.
 func (d *Document) VerifyStructure() error {
 	n := d.NumNodes()
 	numNames := d.names.Size()
-	linkCheck := func(name string, s []NodeID) func() error {
-		return func() error {
-			// Links live in [-1, n-1], i.e. link+1 in [0, n] unsigned.
-			if !allSuccBelow(s, uint32(n)+1) {
-				v := firstSuccAbove(s, uint32(n))
-				return fmt.Errorf("tree: xqo2: node %d %s %d out of range", v, name, s[v])
-			}
-			return nil
-		}
+	if len(d.names.ids) != numNames {
+		return fmt.Errorf("tree: xqo2: label table has duplicate names")
+	}
+	if d.labels[0] != LabelDoc || d.parent[0] != Nil || d.depth[0] != 0 ||
+		d.nextSibling[0] != Nil || int(d.lastDesc[0]) != n-1 {
+		return fmt.Errorf("tree: xqo2: malformed document root")
 	}
 	checks := []func() error{
 		func() error {
 			if !allU32Below(d.labels, uint32(numNames)) {
 				v := firstAtLeast(d.labels, uint32(numNames))
 				return fmt.Errorf("tree: xqo2: node %d label %d out of range", v, d.labels[v])
-			}
-			return nil
-		},
-		linkCheck("parent", d.parent),
-		linkCheck("firstChild", d.firstChild),
-		linkCheck("nextSibling", d.nextSibling),
-		func() error {
-			// lastDesc[v] must lie in [v, n): OR-fold the sign bit of
-			// lastDesc[v]-v (catches ld < v), the sign bit of the raw
-			// value (catches negatives) and AND-fold ld-n (clear top
-			// bit means some ld >= n). Unrolled four ways to split the
-			// fold dependency chains, as in allU32Below.
-			ld := d.lastDesc
-			var u0, u1, u2, u3 uint32
-			a0, a1, a2, a3 := ^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0)
-			v := 0
-			for ; v+4 <= len(ld); v += 4 {
-				l0, l1, l2, l3 := ld[v], ld[v+1], ld[v+2], ld[v+3]
-				u0 |= uint32(int32(l0)-int32(v)) | uint32(l0)
-				a0 &= uint32(l0) - uint32(n)
-				u1 |= uint32(int32(l1)-int32(v)-1) | uint32(l1)
-				a1 &= uint32(l1) - uint32(n)
-				u2 |= uint32(int32(l2)-int32(v)-2) | uint32(l2)
-				a2 &= uint32(l2) - uint32(n)
-				u3 |= uint32(int32(l3)-int32(v)-3) | uint32(l3)
-				a3 &= uint32(l3) - uint32(n)
-			}
-			for ; v < len(ld); v++ {
-				u0 |= uint32(int32(ld[v])-int32(v)) | uint32(ld[v])
-				a0 &= uint32(ld[v]) - uint32(n)
-			}
-			bad := u0 | u1 | u2 | u3
-			and := a0 & a1 & a2 & a3
-			if bad>>31 != 0 || and>>31 == 0 {
-				for v, l := range ld {
-					if l < NodeID(v) || int(l) >= n {
-						return fmt.Errorf("tree: xqo2: node %d lastDesc %d out of range", v, l)
-					}
-				}
 			}
 			return nil
 		},
@@ -531,7 +498,68 @@ func (d *Document) VerifyStructure() error {
 			return nil
 		},
 	}
+	const span = 1 << 16
+	for lo := 0; lo < n; lo += span {
+		hi := min(lo+span, n)
+		checks = append(checks, func() error { return d.verifyLinks(lo, hi) })
+	}
 	return inParallel(len(checks), func(i int) error { return checks[i]() })
+}
+
+// verifyLinks checks nodes [lo, hi) against the preorder-tree
+// invariants. Each condition reads only v, its parent, and the node
+// after v's subtree, so node ranges verify independently:
+//
+//   - lastDesc[v] in [v, n), and a text node's is v itself;
+//   - firstChild[v] is v+1 when v's subtree is larger than v, else Nil,
+//     and that child's parent is v;
+//   - for v > 0: parent[v] = p in [0, v), v's subtree nests inside p's,
+//     depth[v] = depth[p]+1, and nextSibling[v] is lastDesc[v]+1 while
+//     that node is still inside p's subtree (else Nil), with parent p.
+//
+// Together with the root check in VerifyStructure these pin the arrays
+// to exactly one tree: following firstChild then nextSibling from any
+// node visits consecutive subtree intervals that tile its own, so every
+// node is reached once, from the parent it names, at the depth it
+// records — which also rules out link cycles.
+func (d *Document) verifyLinks(lo, hi int) error {
+	n := NodeID(d.NumNodes())
+	for i := lo; i < hi; i++ {
+		v := NodeID(i)
+		ld := d.lastDesc[v]
+		if ld < v || ld >= n {
+			return fmt.Errorf("tree: xqo2: node %d lastDesc %d out of range", v, ld)
+		}
+		if d.labels[v] == LabelText && ld != v {
+			return fmt.Errorf("tree: xqo2: text node %d has children", v)
+		}
+		fc := Nil
+		if ld > v {
+			fc = v + 1
+		}
+		if d.firstChild[v] != fc || (fc != Nil && d.parent[fc] != v) {
+			return fmt.Errorf("tree: xqo2: node %d firstChild %d inconsistent", v, d.firstChild[v])
+		}
+		if v == 0 {
+			continue
+		}
+		p := d.parent[v]
+		if p < 0 || p >= v {
+			return fmt.Errorf("tree: xqo2: node %d parent %d out of range", v, p)
+		}
+		pld := d.lastDesc[p]
+		if ld > pld || d.depth[v] != d.depth[p]+1 {
+			return fmt.Errorf("tree: xqo2: node %d not nested in parent %d", v, p)
+		}
+		ns := Nil
+		if ld < pld {
+			ns = ld + 1
+		}
+		if d.nextSibling[v] != ns || (ns != Nil && d.parent[ns] != p) {
+			return fmt.Errorf("tree: xqo2: node %d nextSibling %d inconsistent", v, d.nextSibling[v])
+		}
+	}
+	return nil
 }
 
 // allU32Below reports whether every element of s lies in [0, bound),
@@ -573,60 +601,6 @@ func allU32Below[T ~int32](s []T, bound uint32) bool {
 func firstAtLeast[T ~int32](s []T, bound uint32) int {
 	for i, v := range s {
 		if uint32(v) >= bound {
-			return i
-		}
-	}
-	return -1
-}
-
-// allSuccBelow is allU32Below over v+1: tree links live in [-1, n-1],
-// so the shifted range [0, n] is one fold against bound = n+1 (≤ 2^31).
-func allSuccBelow(s []NodeID, bound uint32) bool {
-	// Same chain split as allU32Below, but over uint64 loads: each load
-	// brings in two links, halving load-port pressure on what is a
-	// memory-bound scan over mapped pages.
-	var n0, n1, n2, n3 uint32
-	a0, a1, a2, a3 := ^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0)
-	i := 0
-	if len(s) >= 2 {
-		words := unsafe.Slice((*uint64)(unsafe.Pointer(&s[0])), len(s)/2)
-		j := 0
-		for ; j+2 <= len(words); j += 2 {
-			w0, w1 := words[j], words[j+1]
-			v0, v1 := uint32(w0)+1, uint32(w0>>32)+1
-			v2, v3 := uint32(w1)+1, uint32(w1>>32)+1
-			n0 |= v0
-			a0 &= v0 - bound
-			n1 |= v1
-			a1 &= v1 - bound
-			n2 |= v2
-			a2 &= v2 - bound
-			n3 |= v3
-			a3 &= v3 - bound
-		}
-		for ; j < len(words); j++ {
-			v0, v1 := uint32(words[j])+1, uint32(words[j]>>32)+1
-			n0 |= v0
-			a0 &= v0 - bound
-			n1 |= v1
-			a1 &= v1 - bound
-		}
-		i = len(words) * 2
-	}
-	for ; i < len(s); i++ {
-		v := uint32(s[i] + 1)
-		n0 |= v
-		a0 &= v - bound
-	}
-	neg := n0 | n1 | n2 | n3
-	and := a0 & a1 & a2 & a3
-	return neg>>31 == 0 && and>>31 != 0
-}
-
-// firstSuccAbove returns the first index with uint32(v+1) > bound.
-func firstSuccAbove(s []NodeID, bound uint32) int {
-	for i, v := range s {
-		if uint32(v+1) > bound {
 			return i
 		}
 	}

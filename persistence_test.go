@@ -51,7 +51,7 @@ func TestBinaryRoundTripPaperQueries(t *testing.T) {
 // xpq -save/-load flags.
 func TestSaveLoadDocumentFile(t *testing.T) {
 	doc := repro.GenerateXMark(0.001, 7)
-	path := filepath.Join(t.TempDir(), "doc.xqo")
+	path := filepath.Join(t.TempDir(), "doc.xqo2")
 	if err := repro.SaveDocumentFile(path, doc); err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ package repro
 import (
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/store"
@@ -95,50 +94,35 @@ func ParseStrategy(name string) (Strategy, bool) {
 	return core.ParseStrategy(name)
 }
 
-// SaveDocument writes d in the compact binary format; loading it back
-// with LoadDocument skips XML parsing entirely.
+// SaveDocument writes d in the XQO2 binary format; loading it back
+// with LoadDocument skips XML parsing and the index build entirely.
 func SaveDocument(w io.Writer, d *Document) (int64, error) {
-	return d.WriteTo(w)
+	return store.WriteXQO2(w, d)
 }
 
-// LoadDocument reads a document saved by SaveDocument.
+// LoadDocument reads a document saved by SaveDocument into the heap,
+// verifying its structure in full.
 func LoadDocument(r io.Reader) (*Document, error) {
-	return tree.ReadDocument(r)
+	d, _, err := store.ReadXQO2(r)
+	return d, err
 }
 
-// SaveDocumentFile writes d to a file in a binary format chosen by
-// extension: ".xqo2" gets the mmap-resident XQO2 container (opened
-// zero-copy by LoadDocumentFile or xpqd -mmap), anything else the
-// compact XQO1 event stream.
+// SaveDocumentFile writes d to a file in the XQO2 format. The file is
+// replaced atomically, so a process serving the old file (xpqd -mmap)
+// keeps reading it unharmed.
 func SaveDocumentFile(path string, d *Document) error {
-	if strings.HasSuffix(path, ".xqo2") {
-		return store.SaveXQO2File(path, d)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := d.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return store.SaveXQO2File(path, d)
 }
 
-// LoadDocumentFile reads a binary document file. ".xqo2" files are
-// mmap'd and aliased zero-copy (the document pins the mapping for its
-// lifetime); other files are decoded as the XQO1 event stream.
+// LoadDocumentFile reads an XQO2 file into the heap, verifying its
+// structure in full (xpqd -mmap serves the same files zero-copy).
 func LoadDocumentFile(path string) (*Document, error) {
-	if strings.HasSuffix(path, ".xqo2") {
-		d, _, _, _, err := store.OpenXQO2(path)
-		return d, err
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return tree.ReadDocument(f)
+	return LoadDocument(f)
 }
 
 // NewEngine builds an engine (and its jumping index) for a document.
